@@ -23,6 +23,7 @@ import contextlib
 import gc
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,48 @@ def _import_program() -> None:
     if not (source / "repro" / "__init__.py").is_file():
         sys.exit(f"perfbench: no program sources under {source}")
     sys.path.insert(0, str(source))
+
+
+def child_pids() -> list[int]:
+    """The processes whose parent is this process (from ``/proc``)."""
+    me, children = os.getpid(), []
+    for entry in os.scandir("/proc"):
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = Path(entry.path, "stat").read_text()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, ...
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            children.append(int(entry.name))
+    return children
+
+
+def stop_children() -> None:
+    """Stop every process this run started and wait for each to end.
+
+    The workloads close their worker pools themselves. What is left is
+    ``multiprocessing``'s resource tracker, which the shared-memory
+    segments of the worker pools start and which otherwise outlives this
+    process; it is stopped through its own shutdown path, so it unlinks
+    any segment still registered. Anything else still running (a worker a
+    failed teardown left behind) is killed first.
+    """
+    from multiprocessing import resource_tracker
+
+    def kill_and_reap(pids) -> None:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+    tracker = resource_tracker._resource_tracker
+    kill_and_reap(pid for pid in child_pids() if pid != tracker._pid)
+    with contextlib.suppress(ChildProcessError):
+        tracker._stop()
+    kill_and_reap(child_pids())
 
 
 def _metric(value: float, unit: str) -> dict:
@@ -258,9 +301,13 @@ def main(argv=None) -> int:
             f"unknown workload {args.workload!r} "
             f"(known: all, {', '.join(WORKLOADS)})"
         )
-    print_result(
-        run_workload(args.workload, args.seed, args.seconds, bool(args.trace))
-    )
+    try:
+        outcome = run_workload(
+            args.workload, args.seed, args.seconds, bool(args.trace)
+        )
+    finally:
+        stop_children()
+    print_result(outcome)
     return 0
 
 

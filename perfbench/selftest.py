@@ -7,7 +7,8 @@ Run from the root of the repository::
 They run every workload at LUBM(1) for one second, traced and untraced,
 and check that each emits exactly the metrics ``BENCHMARK.json`` names,
 with their units; that a corrupted response digest is counted as an
-error; and that host-speed scaling cancels a synthetic drift.
+error; that host-speed scaling cancels a synthetic drift; and that no
+process a run starts outlives it.
 """
 
 from __future__ import annotations
@@ -101,6 +102,16 @@ class CorruptedDigestIsAnError(unittest.TestCase):
         self.assertGreater(workload.verifier.checked, 0)
 
 
+class NoProcessOutlivesARun(unittest.TestCase):
+    def test_worker_pools_and_resource_tracker_are_stopped(self):
+        run.run_workload("sharded-pool", seed=3, seconds=0.5, traced=False,
+                         universities=1)
+        # The shared-memory resource tracker is still running here.
+        self.assertTrue(run.child_pids())
+        run.stop_children()
+        self.assertEqual(run.child_pids(), [])
+
+
 class ProbeScaling(unittest.TestCase):
     def test_scaling_cancels_synthetic_drift(self):
         # Work that takes 1.0 ms on the reference host, timed on a host
@@ -132,6 +143,10 @@ class ProbeScaling(unittest.TestCase):
         self.assertGreater(samples.ops, 0)
         for value in samples.scaled[("read", "c")]:
             self.assertAlmostEqual(value, 1.0, places=9)
+
+
+def tearDownModule():
+    run.stop_children()
 
 
 if __name__ == "__main__":
