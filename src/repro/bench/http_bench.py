@@ -37,12 +37,8 @@ import time
 import urllib.parse
 from collections.abc import Callable
 
-from repro.bench.service_bench import (
-    TEMPLATE,
-    _measure,
-    _percentile,
-    _professors,
-)
+from repro.bench.report import percentile
+from repro.bench.service_bench import TEMPLATE, _measure, _professors
 from repro.engines.emptyheaded import EmptyHeadedEngine
 from repro.lubm import generate_dataset
 from repro.service import PreparedStatement, QueryService
@@ -125,8 +121,8 @@ def _http_leg(
             "requests": len(latencies),
             "total_s": round(total_s, 6),
             "first_pass_s": round(first_pass_s, 6),
-            "p50_ms": round(_percentile(latencies, 0.50), 4),
-            "p95_ms": round(_percentile(latencies, 0.95), 4),
+            "p50_ms": round(percentile(latencies, 0.50), 4),
+            "p95_ms": round(percentile(latencies, 0.95), 4),
         },
         rows,
     )
@@ -151,8 +147,8 @@ def _serialize_leg(
         cursor.close()
     session.close()
     return {
-        "p50_ms": round(_percentile(latencies, 0.50), 4),
-        "p95_ms": round(_percentile(latencies, 0.95), 4),
+        "p50_ms": round(percentile(latencies, 0.50), 4),
+        "p95_ms": round(percentile(latencies, 0.95), 4),
         "total_bytes": payload_bytes,
     }
 
@@ -250,8 +246,8 @@ def _saturation_leg(
                 "throughput_rps": round(requests / wall_s, 2)
                 if wall_s
                 else 0.0,
-                "p50_ms": round(_percentile(latencies, 0.50), 4),
-                "p99_ms": round(_percentile(latencies, 0.99), 4),
+                "p50_ms": round(percentile(latencies, 0.50), 4),
+                "p99_ms": round(percentile(latencies, 0.99), 4),
                 "matches_serial": not mismatches,
             }
         )
@@ -514,9 +510,3 @@ def render(report: dict) -> str:
         )
     lines.append(f"  smoke probes ok: {report['smoke']['ok']}")
     return "\n".join(lines)
-
-
-def write_report(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -1,7 +1,8 @@
-"""Plain-text table rendering for benchmark reports."""
+"""Benchmark report helpers: tables, percentiles, JSON reports."""
 
 from __future__ import annotations
 
+import json
 from collections.abc import Sequence
 
 
@@ -38,3 +39,17 @@ def format_speedup(value: float | None) -> str:
     if value is None:
         return "-"
     return f"{value:.2f}x"
+
+
+def percentile(values: Sequence[float], fraction: float) -> float:
+    """Nearest-rank percentile (``fraction`` in [0, 1]) of ``values``."""
+    ordered = sorted(values)
+    index = min(len(ordered) - 1, round(fraction * (len(ordered) - 1)))
+    return ordered[index]
+
+
+def write_report(report: dict, path: str) -> None:
+    """Write a bench report as stable, sorted, indented JSON."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")

@@ -31,13 +31,13 @@ and the template-vs-reparse speedup.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bench.report import percentile
 from repro.engines.emptyheaded import EmptyHeadedEngine
 from repro.lubm import generate_dataset
 from repro.service import QueryService
@@ -60,12 +60,6 @@ def _concrete_text(professor: str) -> str:
     return TEMPLATE.replace("$prof", professor)
 
 
-def _percentile(latencies: list[float], fraction: float) -> float:
-    ordered = sorted(latencies)
-    index = min(len(ordered) - 1, round(fraction * (len(ordered) - 1)))
-    return ordered[index]
-
-
 @dataclass
 class _Leg:
     """One measured execution strategy."""
@@ -79,8 +73,8 @@ class _Leg:
             "requests": len(self.latencies_ms),
             "total_s": round(self.total_s, 6),
             "first_pass_s": round(self.first_pass_s, 6),
-            "p50_ms": round(_percentile(self.latencies_ms, 0.50), 4),
-            "p95_ms": round(_percentile(self.latencies_ms, 0.95), 4),
+            "p50_ms": round(percentile(self.latencies_ms, 0.50), 4),
+            "p95_ms": round(percentile(self.latencies_ms, 0.95), 4),
         }
 
 
@@ -157,8 +151,8 @@ def _zipf_leg(
         "requests": requests,
         "distinct_values": distinct,
         "total_s": round(total_s, 6),
-        "p50_ms": round(_percentile(latencies, 0.50), 4),
-        "p95_ms": round(_percentile(latencies, 0.95), 4),
+        "p50_ms": round(percentile(latencies, 0.50), 4),
+        "p95_ms": round(percentile(latencies, 0.95), 4),
         "result_hit_rate": round(
             statement.stats.result_hits / requests, 4
         ),
@@ -345,9 +339,3 @@ def render(report: dict) -> str:
             f"{zipf_report['result_hit_rate']:.2f}",
         )
     return "\n".join(lines)
-
-
-def write_report(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")

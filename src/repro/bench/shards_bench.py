@@ -27,12 +27,11 @@ serialization — sharding is purely a physical change.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 
-from repro.bench.service_bench import _percentile
+from repro.bench.report import percentile
 from repro.distributed.engine import ShardedEngine
 from repro.distributed.store import ShardedStore
 from repro.distributed.transport import PooledShardTransport
@@ -230,8 +229,8 @@ def _scaling_leg(
                 "queries_per_s": (
                     round(executed / elapsed, 2) if elapsed else 0.0
                 ),
-                "p50_ms": round(_percentile(latencies, 0.50), 3),
-                "p95_ms": round(_percentile(latencies, 0.95), 3),
+                "p50_ms": round(percentile(latencies, 0.50), 3),
+                "p95_ms": round(percentile(latencies, 0.95), 3),
             }
         )
     speedup = (
@@ -341,15 +340,8 @@ def render(report: dict) -> str:
     return "\n".join(lines)
 
 
-def write_report(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 __all__ = [
     "SCATTER_FAMILY",
     "render",
     "run_shards_bench",
-    "write_report",
 ]

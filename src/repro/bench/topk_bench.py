@@ -37,7 +37,6 @@ machine-readable report (a CI artifact beside the other benches).
 
 from __future__ import annotations
 
-import json
 import time
 
 from repro.engines.emptyheaded import EmptyHeadedEngine
@@ -219,9 +218,3 @@ def render(report: dict) -> str:
             lines.append(f"FAILED: {check}")
     lines.append("ok" if report["ok"] else "NOT ok")
     return "\n".join(lines)
-
-
-def write_report(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")

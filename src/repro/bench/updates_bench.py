@@ -38,7 +38,6 @@ the machine-readable report (a CI artifact beside the service bench).
 
 from __future__ import annotations
 
-import json
 import time
 
 from repro.engines import ALL_ENGINES
@@ -249,9 +248,3 @@ def render(report: dict) -> str:
             f"ok: {report['ok']}",
         ]
     )
-
-
-def write_report(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")

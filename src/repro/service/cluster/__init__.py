@@ -1,4 +1,4 @@
-"""Multi-process serving tier: shared segments, workers, front door.
+"""Multi-process serving tier: shared segments, workers, service.
 
 The GIL serializes every hot loop that is not inside numpy, so one
 process cannot scale query serving past one core. This package is the
@@ -16,16 +16,16 @@ storage/engine/service stack:
   locally, and answers framed requests from its pipe. The pool health-
   checks workers, detects crashes, respawns replacements, and retries
   in-flight requests on siblings.
-* :mod:`repro.service.cluster.http` / ``service`` — an **async front
-  door**: :class:`ClusterQueryService` mirrors
+* :mod:`repro.service.cluster.service` —
+  :class:`ClusterQueryService` mirrors
   :class:`~repro.service.QueryService`'s session/cursor semantics over
   the pipe protocol (results ride the ``service/formats.py`` binary row
-  format), and :class:`ClusterHttpServer` is an ``asyncio`` accept loop
-  speaking the same SPARQL-protocol HTTP surface as the single-process
-  :class:`~repro.service.http.SparqlHttpServer`.
+  format). Served over HTTP by the same
+  :class:`~repro.service.http.SparqlHttpServer` as the single-process
+  tier — ``SparqlHttpServer(cluster, port=0)`` — so both tiers share
+  one set of endpoints, wire parameters and error bodies.
 """
 
-from repro.service.cluster.http import ClusterHttpServer
 from repro.service.cluster.pool import WorkerPool
 from repro.service.cluster.service import (
     ClusterCursor,
@@ -43,7 +43,6 @@ from repro.service.cluster.shm import (
 
 __all__ = [
     "ClusterCursor",
-    "ClusterHttpServer",
     "ClusterQueryService",
     "ClusterSession",
     "SegmentPublisher",

@@ -2,13 +2,14 @@
 
 The in-process serving stack is ``QueryService`` → ``Session`` →
 ``Cursor``; this module mirrors that surface on the *decoded* plane so
-callers (the cluster HTTP front door, benchmarks, tests) can swap the
-two without changing shape:
+callers (:class:`~repro.service.http.SparqlHttpServer`, benchmarks,
+tests) can swap the two without changing shape:
 
 * :class:`ClusterQueryService` — owns a
-  :class:`~repro.service.cluster.pool.WorkerPool`; ``execute_decoded``
-  / ``executemany`` / ``execute_concurrent`` / ``update`` / ``stats``
-  match the single-process service's signatures.
+  :class:`~repro.service.cluster.pool.WorkerPool`; ``session`` /
+  ``execute_decoded`` / ``worker_count`` match the single-process
+  service's signatures, and ``stats`` returns the ``/stats`` body with
+  an aggregated ``cluster`` section.
 * :class:`ClusterSession` — the protocol surface: bounded open
   cursors (:class:`~repro.errors.CapacityError`), closed-session
   checks, typed :class:`~repro.service.protocol.QueryRequest` /
@@ -31,8 +32,7 @@ ends share the dictionary state by construction.
 from __future__ import annotations
 
 import threading
-from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Mapping
 
 from repro.errors import (
     CapacityError,
@@ -321,9 +321,10 @@ class ClusterQueryService:
     :class:`~repro.service.QueryService`: construct it over a store,
     :meth:`start` (or enter it as a context manager) to publish the
     store into shared memory and fork the workers, then execute through
-    sessions or the decoded shims. Closing shuts every worker down and
-    unlinks every shared segment — a clean shutdown leaves zero stale
-    names in ``/dev/shm``.
+    sessions, the decoded shim, or over HTTP with
+    ``SparqlHttpServer(cluster, port=0)``. Closing shuts every worker
+    down and unlinks every shared segment — a clean shutdown leaves
+    zero stale names in ``/dev/shm``.
     """
 
     def __init__(
@@ -374,8 +375,13 @@ class ClusterQueryService:
         max_open_cursors: int = 64,
         default_page_size: int | None = None,
         timeout_s: float | None = None,
+        deadline_workers: int = 4,
     ) -> ClusterSession:
-        """Open a protocol session (mirrors ``QueryService.session``)."""
+        """Open a protocol session (mirrors ``QueryService.session``).
+
+        ``deadline_workers`` is accepted for signature parity and unused:
+        deadlines are enforced by the worker that runs the query.
+        """
         return ClusterSession(
             self,
             max_open_cursors=max_open_cursors,
@@ -398,45 +404,9 @@ class ClusterQueryService:
         finally:
             cursor.close()
 
-    def executemany(
-        self, text: str, param_rows
-    ) -> list[list[tuple[str | None, ...]]]:
-        """One template over a batch of parameter rows, in order."""
-        return [
-            self.execute_decoded(text, parameters=row) for row in param_rows
-        ]
-
-    def execute_concurrent(
-        self, requests: Sequence, max_workers: int = 4
-    ) -> list[list[tuple[str | None, ...]]]:
-        """A request batch fanned across the pool, in input order.
-
-        Unlike the single-process service (where threads contend on
-        the GIL), concurrent requests here land on *different worker
-        processes* — this is the entry point the saturation benchmark
-        drives.
-        """
-        if max_workers < 1:
-            raise ConfigError("execute_concurrent max_workers must be >= 1")
-
-        def run(request):
-            if isinstance(request, str):
-                return self.execute_decoded(request)
-            text, parameters = request
-            return self.execute_decoded(text, parameters=parameters)
-
-        if len(requests) <= 1 or max_workers == 1:
-            return [run(request) for request in requests]
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run, requests))
-
-    def update(self, request: UpdateRequest) -> UpdateResponse:
-        return self.session().update(request)
-
-    def explain(
-        self, text: str, parameters: Mapping | None = None
-    ) -> str:
-        return self.session().explain(text, parameters)
+    def worker_count(self) -> int:
+        """Live worker processes (``/stats`` reports it)."""
+        return self.pool.worker_count()
 
     def stats(self) -> dict:
         """Store counters plus the aggregated ``cluster`` section."""

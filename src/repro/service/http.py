@@ -3,10 +3,17 @@
 The network boundary the RDF-store literature treats as what makes an
 engine a *store*: a :class:`SparqlHttpServer` is a
 ``http.server.ThreadingHTTPServer`` speaking a SPARQL-1.1-Protocol-style
-interface over one shared protocol :class:`~repro.service.protocol.Session`
-(and through it the :class:`~repro.service.QueryService` statement/plan
-caches), so every HTTP client rides the same prepared-statement serving
-path as in-process callers.
+interface over one shared protocol session, so every HTTP client rides
+the same prepared-statement serving path as in-process callers.
+
+It is the one HTTP front end for both serving tiers. Given a
+:class:`~repro.service.QueryService` it serves the single-process
+statement/plan caches; given a started
+:class:`~repro.service.cluster.ClusterQueryService` it serves the
+multi-process worker pool, each handler thread blocking on a worker's
+pipe while the join runs in that worker. Both tiers answer the same
+requests with byte-identical bodies; the server reads the one fact
+that differs, the worker count in ``/stats``, from the service.
 
 Endpoints
 ---------
@@ -46,6 +53,12 @@ the string literal). Every error is a JSON body
 ``{"error": {"code": ..., "message": ...}}`` whose stable ``code`` and
 status come from the taxonomy in :mod:`repro.errors`.
 
+Request limits: a ``POST`` body must carry a non-negative integer
+``Content-Length`` of at most 64 MiB, and ``timeout`` must be a
+positive finite number of seconds; anything else is a ``400`` with code
+``parse_error`` (a bad body length also closes the connection, since
+the body's end can no longer be found).
+
 Run a toy server::
 
     PYTHONPATH=src python -m repro.service.http --universities 1 --port 8035
@@ -56,9 +69,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import TYPE_CHECKING
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import (
@@ -76,8 +91,14 @@ from repro.service.protocol import (
 )
 from repro.service.query_service import QueryService
 
+if TYPE_CHECKING:  # pragma: no cover - typing only (cluster pulls in shm)
+    from repro.service.cluster import ClusterQueryService
+
 #: Upper bound a client may set ``page_size`` to.
 MAX_PAGE_SIZE = 100_000
+
+#: Largest accepted request body (updates; query texts are small).
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Reserved request parameters (everything ``$``-prefixed is a template
 #: parameter; anything else is rejected so typos fail loudly).
@@ -169,8 +190,10 @@ def _parse_query_request(
             timeout_s = float(raw)
         except ValueError:
             raise ParseError(f"timeout must be a number, got {raw!r}")
-        if timeout_s <= 0:
-            raise ParseError(f"timeout must be positive, got {timeout_s}")
+        if not math.isfinite(timeout_s) or timeout_s <= 0:
+            raise ParseError(
+                f"timeout must be a positive finite number, got {raw!r}"
+            )
     stream = False
     raw = _single(params, "stream")
     if raw is not None:
@@ -195,8 +218,7 @@ def _parse_query_request(
 def parse_update_payload(body: bytes) -> UpdateRequest:
     """Validate a ``POST /update`` JSON body into an ``UpdateRequest``.
 
-    Shared by both HTTP tiers so a malformed body gets the same 400
-    from the single-process server and the cluster front door.
+    A malformed body is a ``400 parse_error`` on either serving tier.
     """
     try:
         payload = json.loads(body.decode("utf-8"))
@@ -227,15 +249,6 @@ def parse_update_payload(body: bytes) -> UpdateRequest:
     return UpdateRequest(add=triples("add"), remove=triples("remove"))
 
 
-#: Public names for the request parsers — the cluster front door
-#: (:mod:`repro.service.cluster.http`) reuses them so both tiers accept
-#: the exact same wire parameters.
-parse_query_request = _parse_query_request
-template_parameters = _template_parameters
-single_param = _single
-RESERVED_PARAMS = _RESERVED_PARAMS
-
-
 class _Handler(BaseHTTPRequestHandler):
     """One HTTP request (ThreadingHTTPServer gives it its own thread)."""
 
@@ -254,6 +267,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -372,7 +387,18 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_error_payload(exc)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body's end is unknown: answer, then drop the connection.
+            self.close_connection = True
+            raise ParseError(
+                "Content-Length must be an integer in "
+                f"[0, {MAX_BODY_BYTES}], got {raw!r}"
+            )
         return self.rfile.read(length) if length else b""
 
     def _merge_post_params(self, params: dict[str, list[str]]) -> None:
@@ -445,13 +471,15 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class SparqlHttpServer(ThreadingHTTPServer):
-    """A SPARQL-protocol endpoint over one :class:`QueryService`.
+    """A SPARQL-protocol endpoint over one serving tier.
 
-    ``max_workers`` sizes the execution pool the handler threads
-    multiplex onto (the same bounded-concurrency model as
-    ``QueryService.execute_concurrent``); ``max_pending`` bounds
-    admitted-but-unfinished requests before ``503 capacity``.
-    Use as a context manager or call :meth:`start` / :meth:`stop`::
+    ``service`` is a :class:`QueryService` (single process) or a started
+    :class:`~repro.service.cluster.ClusterQueryService` (worker pool).
+    ``max_workers`` bounds concurrent executions (the same
+    bounded-concurrency model as ``QueryService.execute_concurrent``);
+    ``max_pending`` bounds admitted-but-unfinished requests before
+    ``503 capacity``. Use as a context manager or call :meth:`start` /
+    :meth:`stop`::
 
         with SparqlHttpServer(service, port=0) as server:
             print(server.url)  # http://127.0.0.1:<ephemeral>
@@ -461,7 +489,7 @@ class SparqlHttpServer(ThreadingHTTPServer):
 
     def __init__(
         self,
-        service: QueryService,
+        service: "QueryService | ClusterQueryService",
         host: str = "127.0.0.1",
         port: int = 0,
         *,
@@ -552,6 +580,7 @@ class SparqlHttpServer(ThreadingHTTPServer):
 
     def http_stats(self) -> dict:
         """Connection, keep-alive and admission-pool counters."""
+        worker_count = self.service.worker_count()
         with self._http_lock:
             return {
                 "connections": {
@@ -570,9 +599,7 @@ class SparqlHttpServer(ThreadingHTTPServer):
                     "max_pending": self.max_pending,
                     "in_flight": self._in_flight,
                     "in_flight_peak": self._in_flight_peak,
-                    # Single-process tier: all work happens in this one
-                    # process (the cluster tier reports its real count).
-                    "worker_count": 1,
+                    "worker_count": worker_count,
                 },
             }
 
@@ -660,12 +687,9 @@ if __name__ == "__main__":
 
 
 __all__ = [
+    "MAX_BODY_BYTES",
     "MAX_PAGE_SIZE",
-    "RESERVED_PARAMS",
     "SparqlHttpServer",
     "main",
-    "parse_query_request",
     "parse_update_payload",
-    "single_param",
-    "template_parameters",
 ]

@@ -303,6 +303,10 @@ class QueryService:
         return warmed
 
     # ------------------------------------------------------------------
+    def worker_count(self) -> int:
+        """Processes executing queries: this one (``/stats`` reports it)."""
+        return 1
+
     def cached_texts(self) -> list[str]:
         """Cached query texts, least- to most-recently used."""
         with self._lock:

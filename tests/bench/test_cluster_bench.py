@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.bench.cluster_bench import render, run_cluster_bench, write_report
+from repro.bench.cluster_bench import render, run_cluster_bench
+from repro.bench.report import write_report
 from repro.service.cluster.shm import shm_supported
 
 pytestmark = pytest.mark.skipif(

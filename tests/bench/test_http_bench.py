@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.bench.http_bench import run_http_bench, write_report
+from repro.bench.http_bench import run_http_bench
+from repro.bench.report import write_report
 
 
 @pytest.fixture(scope="module")

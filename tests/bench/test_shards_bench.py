@@ -11,12 +11,8 @@ import json
 
 import pytest
 
-from repro.bench.shards_bench import (
-    SCATTER_FAMILY,
-    render,
-    run_shards_bench,
-    write_report,
-)
+from repro.bench.report import write_report
+from repro.bench.shards_bench import SCATTER_FAMILY, render, run_shards_bench
 from repro.service.cluster.shm import shm_supported
 
 SMOKE_QUERIES = (1, 2, 4, 9)

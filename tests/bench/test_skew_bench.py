@@ -8,7 +8,8 @@ agreement are asserted at any scale.
 
 import json
 
-from repro.bench.skew_bench import TEMPLATE, run_skew_bench, write_report
+from repro.bench.report import write_report
+from repro.bench.skew_bench import TEMPLATE, run_skew_bench
 
 
 def test_skew_bench_report_shape(tmp_path):

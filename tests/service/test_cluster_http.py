@@ -1,9 +1,10 @@
-"""Async front door: endpoint parity with the single-process server.
+"""Cluster tier over HTTP: endpoint parity with the single-process tier.
 
-The server under test is a real :class:`ClusterHttpServer` — an asyncio
-accept loop on an ephemeral loopback port fronting a two-worker pool —
-and every body is compared against :class:`SparqlHttpServer` answering
-the identical request over an identical store.
+The server under test is a real :class:`SparqlHttpServer` on an
+ephemeral loopback port fronting a two-worker
+:class:`ClusterQueryService`, and every body is compared against a
+second :class:`SparqlHttpServer` answering the identical request over
+an in-process :class:`QueryService` on an identical store.
 """
 
 import http.client
@@ -14,7 +15,7 @@ import pytest
 
 from repro.engines.emptyheaded import EmptyHeadedEngine
 from repro.service import QueryService
-from repro.service.cluster import ClusterHttpServer, ClusterQueryService
+from repro.service.cluster import ClusterQueryService
 from repro.service.cluster.shm import shm_supported
 from repro.service.http import SparqlHttpServer
 from repro.storage.vertical import vertically_partition
@@ -44,7 +45,7 @@ def cluster_server():
         vertically_partition(_triples()), workers=2, prefix=PREFIX
     )
     with cluster:
-        with ClusterHttpServer(cluster) as server:
+        with SparqlHttpServer(cluster, port=0) as server:
             yield server
 
 
@@ -82,11 +83,27 @@ QUERY = f"SELECT ?s ?o WHERE {{ ?s <{EX}p0> ?o }}"
 class TestParity:
     """Byte-for-byte agreement with the single-process front-end."""
 
-    @pytest.mark.parametrize("format_name", ["json", "binary", "tsv", "csv"])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            pytest.param({"format": "json"}, id="json"),
+            pytest.param({"format": "binary"}, id="binary"),
+            pytest.param({"format": "tsv"}, id="tsv"),
+            pytest.param({"format": "csv"}, id="csv"),
+            # Streamed pages: the cursor feeds one chunk per page.
+            pytest.param(
+                {"stream": "true", "page_size": 2}, id="json-stream"
+            ),
+            pytest.param(
+                {"format": "binary", "stream": "true", "page_size": 2},
+                id="binary-stream",
+            ),
+        ],
+    )
     def test_get_sparql_bodies_match(
-        self, cluster_server, reference_server, format_name
+        self, cluster_server, reference_server, params
     ):
-        path = _sparql({"query": QUERY, "format": format_name})
+        path = _sparql({"query": QUERY, **params})
         c_status, c_type, c_body = _request(cluster_server.url, "GET", path)
         r_status, r_type, r_body = _request(
             reference_server.url, "GET", path

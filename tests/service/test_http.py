@@ -7,6 +7,7 @@ streaming, and the full session/cursor/serializer stack.
 
 import http.client
 import json
+import socket
 import threading
 import urllib.parse
 
@@ -16,7 +17,7 @@ from repro.engines.emptyheaded import EmptyHeadedEngine
 from repro.errors import ERROR_CODES
 from repro.service import QueryService
 from repro.service.formats import lexical_from_json, read_binary
-from repro.service.http import SparqlHttpServer
+from repro.service.http import MAX_BODY_BYTES, SparqlHttpServer
 from repro.storage.vertical import vertically_partition
 
 EX = "http://ex/"
@@ -246,6 +247,38 @@ def test_bad_stream_flag_is_400(server):
     assert _error(
         server, _sparql({"query": query, "stream": "maybe"})
     ) == (400, "parse_error")
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-1", "nan", "inf"])
+def test_bad_timeout_is_400(server, raw):
+    query = f"SELECT ?s WHERE {{ ?s <{EX}p0> ?o }}"
+    assert _error(
+        server, _sparql({"query": query, "timeout": raw})
+    ) == (400, "parse_error")
+
+
+@pytest.mark.parametrize(
+    "length", ["abc", "-1", str(MAX_BODY_BYTES + 1)]
+)
+def test_bad_content_length_is_400(server, length):
+    # Raw socket: http.client would compute a valid Content-Length.
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(
+            (
+                f"POST /update HTTP/1.1\r\nHost: {host}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {length}\r\n\r\n"
+            ).encode("latin-1")
+        )
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        body = response.read()
+        # The body's end is unknown, so the server drops the connection.
+        assert response.getheader("Connection") == "close"
+        assert sock.recv(1) == b""
+    assert response.status == 400
+    assert json.loads(body)["error"]["code"] == "parse_error"
 
 
 def test_unknown_endpoint_is_404(server):
